@@ -41,7 +41,7 @@ import numpy as np
 from ..autograd import Adam, Tensor, log_softmax
 from ..errors import ExplainerError
 from ..explain.base import Explainer, Explanation
-from ..flows import FlowIndex, cached_enumerate_flows, graph_fingerprint
+from ..flows import FlowIndex, cached_enumerate_flows
 from ..flows.cache import LRUCache
 from ..graph import Graph
 from ..nn.models import GNN
@@ -88,8 +88,8 @@ def _copy_explanation(e: Explanation) -> Explanation:
 
     Arrays are copied and ``meta`` deep-copied (``Explainer.explain``
     writes ``trace_id`` / ``perf`` into it per call); the
-    :class:`FlowIndex` is shared — it is immutable by library convention
-    and already shared through :data:`repro.flows.FLOW_CACHE`.
+    :class:`FlowIndex` is shared — its arrays are read-only and it is
+    already shared through :data:`repro.flows.FLOW_CACHE`.
     """
     return Explanation(
         edge_scores=e.edge_scores.copy(),
@@ -202,21 +202,23 @@ class Revelio(Explainer):
     def _memo_key(self, graph: Graph, target: int | None, mode: str):
         """Complete-input cache key, or ``None`` while the memo is bypassed.
 
-        Everything the optimize loop reads is hashed: graph structure and
-        features, the frozen model weights, the explained instance and
-        every hyperparameter including the seed. Hashing costs microseconds
-        against the multi-millisecond epoch loop it saves.
+        Everything the optimize loop reads is in it: graph structure and
+        features (the graph's memoized digests, so the feature matrix is
+        hashed once per graph, not once per call — 31 MB on Cora), the
+        model weights, the explained instance and every hyperparameter
+        including the seed. The weights are mutable tensors, so they are
+        hashed on every call; that is small next to the epoch loop.
         """
         if not _EXPLANATION_CACHE_ENABLED[0]:
             return None
         h = hashlib.sha1()
-        h.update(np.ascontiguousarray(graph.x).tobytes())
         for name, param in sorted(self.model.named_parameters()):
             h.update(name.encode())
             h.update(np.ascontiguousarray(param.data).tobytes())
         return (
             type(self).__qualname__,
-            graph_fingerprint(graph), h.hexdigest(), target, mode,
+            graph.structure_digest(), graph.feature_digest(), h.hexdigest(),
+            target, mode,
             self.model.num_layers, self.epochs, self.lr, self.alpha,
             self.mask_activation, self.layer_weight_activation,
             self.max_flows, self.seed,

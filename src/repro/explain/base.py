@@ -20,14 +20,13 @@ return the same scores for both, as in the paper's experiments.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ExplainerError
-from ..flows import FlowIndex, graph_fingerprint
+from ..flows import FlowIndex
 from ..flows.cache import LRUCache
 from ..graph import Graph, extract_receptive_field
 from ..nn.models import GNN
@@ -41,8 +40,8 @@ __all__ = ["Explanation", "Explainer", "NodeContext", "MODES",
 MODES = ("factual", "counterfactual")
 
 #: Cross-explainer L-hop context cache. Every explainer extracts the same
-#: L-hop neighborhood for the same (graph, target); contexts are read-only
-#: by convention (perturbation methods copy before mutating), so one
+#: L-hop neighborhood for the same (graph, target); a context's subgraph is
+#: a read-only Graph and no consumer writes its index arrays, so one
 #: extraction is shared by all of them.
 CONTEXT_CACHE = LRUCache(maxsize=256)
 _CONTEXT_CACHE_ENABLED = [True]
@@ -236,7 +235,12 @@ class Explainer:
             if self.model.task == "node":
                 if target is None:
                     raise ExplainerError("node-classification explanation requires a target node")
-                explanation = self.explain_node(graph, target.node_id, mode=mode)
+                node = target.node_id
+                if not 0 <= node < graph.num_nodes:
+                    raise ExplainerError(
+                        f"target node {node} is out of range for a graph "
+                        f"with num_nodes={graph.num_nodes}")
+                explanation = self.explain_node(graph, node, mode=mode)
             else:
                 if target is not None and target.kind != "graph":
                     raise ExplainerError(
@@ -264,15 +268,16 @@ class Explainer:
         """Extract the L-hop incoming neighborhood of ``node``.
 
         Cached across explainer instances: the key covers graph structure,
-        node features (the subgraph slices ``x``), depth and target, so a
-        changed graph can never serve a stale context. Callers must treat
-        the returned context as read-only (all in-tree consumers do).
+        node features (the subgraph slices ``x``), depth and target — the
+        graph's memoized digests, so a lookup hashes nothing after the
+        first — and a changed graph can never serve a stale context. The
+        context's subgraph is a read-only :class:`Graph` like any other.
         """
         if not _CONTEXT_CACHE_ENABLED[0]:
             with span(SPAN_CONTEXT_EXTRACT, node=int(node)):
                 return self._extract_context(graph, node)
-        x_hash = hashlib.sha1(np.ascontiguousarray(graph.x).tobytes()).hexdigest()
-        key = (graph_fingerprint(graph), x_hash, self.model.num_layers, int(node))
+        key = (graph.structure_digest(), graph.feature_digest(),
+               self.model.num_layers, int(node))
         context = CONTEXT_CACHE.get(key)
         if context is None:
             with span(SPAN_CONTEXT_EXTRACT, node=int(node)):

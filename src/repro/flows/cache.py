@@ -5,19 +5,18 @@ the identical flow set (and the fidelity harness re-extracts the identical
 L-hop node context). Enumeration is pure in the graph structure, so this
 module memoizes :func:`repro.flows.enumerate_flows` — and, via
 :class:`LRUCache`, node contexts — keyed by a structural *fingerprint* of
-the graph plus ``(num_layers, target)``. Entries are evicted LRU; mutating
-a graph's edges changes its fingerprint, which is the implicit
-invalidation path, and :func:`invalidate` / :meth:`FlowCache.clear` are the
-explicit ones.
+the graph plus ``(num_layers, target)``. Entries are evicted LRU. Graph
+arrays are read-only, so a graph's edges cannot change under a cached
+entry: an in-place edit raises, and a graph with other edges (a new
+graph, :meth:`Graph.with_edges`, or a newly assigned ``edge_index``) has
+another fingerprint. :func:`invalidate` / :meth:`FlowCache.clear` drop
+entries explicitly. Cached :class:`FlowIndex` objects are read-only too.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from contextlib import contextmanager
-
-import numpy as np
 
 from ..errors import FlowError
 from ..graph import Graph
@@ -39,14 +38,10 @@ def graph_fingerprint(graph: Graph) -> str:
     """Structural identity of a graph for flow purposes.
 
     Flows depend only on ``(num_nodes, edge_index)``; features and labels
-    are irrelevant. Any edge edit (including :meth:`Graph.with_edges`)
-    yields a different fingerprint, so stale entries can never be returned
-    for a perturbed graph.
+    are irrelevant. This is the graph's memoized
+    :meth:`~repro.graph.Graph.structure_digest`, hashed once per graph.
     """
-    h = hashlib.sha1()
-    h.update(str(graph.num_nodes).encode())
-    h.update(np.ascontiguousarray(graph.edge_index).tobytes())
-    return h.hexdigest()
+    return graph.structure_digest()
 
 
 class LRUCache:
@@ -100,8 +95,8 @@ class FlowCache:
                        max_flows: int = DEFAULT_MAX_FLOWS) -> FlowIndex:
         """Return a (possibly cached) :class:`FlowIndex` for the instance.
 
-        The cached object is shared between callers — it is treated as
-        immutable by every consumer. ``max_flows`` semantics are preserved:
+        The cached object is shared between callers; its arrays are
+        read-only, so no consumer can corrupt it for the others. ``max_flows`` semantics are preserved:
         a cached index larger than the caller's ceiling raises exactly as a
         fresh enumeration would.
         """

@@ -32,6 +32,11 @@ __all__ = ["FlowIndex", "enumerate_flows", "count_flows"]
 DEFAULT_MAX_FLOWS = 2_000_000
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass
 class FlowIndex:
     """All message flows of an L-layer GNN on one graph.
@@ -52,6 +57,10 @@ class FlowIndex:
         ``N``.
     target:
         Explained node id for node-classification flows, else ``None``.
+
+    An index is shared by every explainer that asks the flow cache for it,
+    so its arrays — ``nodes``, ``layer_edges`` and the lazily built
+    aggregation index arrays — are read-only.
     """
 
     nodes: np.ndarray
@@ -62,8 +71,10 @@ class FlowIndex:
     target: int | None = None
 
     def __post_init__(self) -> None:
-        self.nodes = np.asarray(self.nodes, dtype=np.int64).reshape(-1, self.num_layers + 1)
-        self.layer_edges = np.asarray(self.layer_edges, dtype=np.int64).reshape(-1, self.num_layers)
+        self.nodes = _frozen(np.asarray(self.nodes, dtype=np.int64)
+                             .reshape(-1, self.num_layers + 1))
+        self.layer_edges = _frozen(np.asarray(self.layer_edges, dtype=np.int64)
+                                   .reshape(-1, self.num_layers))
         if self.nodes.shape[0] != self.layer_edges.shape[0]:
             raise FlowError("nodes / layer_edges row mismatch")
         # Lazily built caches — the incidence structure is fixed, so the
@@ -92,7 +103,7 @@ class FlowIndex:
             + self.layer_edges.T.reshape(-1)
         )
         if reuse:
-            self._gather_index, self._scatter_index = gather, scatter
+            self._gather_index, self._scatter_index = _frozen(gather), _frozen(scatter)
         return gather, scatter
 
     def incidence(self):
@@ -188,7 +199,7 @@ class FlowIndex:
             used = np.zeros((self.num_layers, self.num_layer_edges), dtype=bool)
             for l in range(self.num_layers):
                 used[l, self.layer_edges[:, l]] = True
-            self._used_layer_edges = used
+            self._used_layer_edges = _frozen(used)
         return self._used_layer_edges
 
     def flows_per_layer_edge(self) -> np.ndarray:

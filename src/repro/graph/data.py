@@ -8,17 +8,49 @@ implementation builds on.
 Edges are directed and, following the paper's experimental setup, contain no
 self-loops at the data level (GNN layers add their own self-contributions;
 see :mod:`repro.nn.message_passing`).
+
+Graphs are immutable: every array field is read-only from construction on,
+so an in-place write raises ``ValueError`` instead of leaving a cache keyed
+on the old contents stale. New data means a new graph, or assigning a new
+array to the field (which is frozen in turn). Because the contents of a
+given array object can no longer change, each graph fingerprints itself
+once — :meth:`Graph.structure_digest` / :meth:`Graph.feature_digest` — and
+every content-keyed cache in the library keys on those digests.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import GraphError
+from ..obs.counters import PERF
 
 __all__ = ["Graph"]
+
+#: Array fields and the dtype an array assigned to each is coerced to.
+_ARRAY_FIELDS = {
+    "edge_index": np.int64, "x": np.float64, "y": np.int64,
+    "train_mask": np.bool_, "val_mask": np.bool_, "test_mask": np.bool_,
+}
+
+
+def _frozen(array: np.ndarray, dtype) -> np.ndarray:
+    """``array`` as ``dtype``, marked read-only; never copies a frozen input."""
+    array = np.asarray(array, dtype=dtype)
+    if array.flags.writeable:
+        array.flags.writeable = False
+    return array
+
+
+def _sha1(*parts) -> str:
+    h = hashlib.sha1()
+    for part in parts:
+        h.update(part)
+    PERF.graph_fingerprints += 1
+    return h.hexdigest()
 
 
 @dataclass
@@ -44,6 +76,10 @@ class Graph:
         (Table IV).
     meta:
         Free-form metadata (dataset name, generator parameters, …).
+
+    Every array field is read-only (``flags.writeable`` is ``False``):
+    arrays are frozen in place at construction, and an array assigned to a
+    field later is frozen on assignment.
     """
 
     edge_index: np.ndarray
@@ -55,6 +91,16 @@ class Graph:
     test_mask: np.ndarray | None = None
     motif_edges: frozenset[tuple[int, int]] | None = None
     meta: dict = field(default_factory=dict)
+
+    def __setattr__(self, name: str, value) -> None:
+        if isinstance(value, np.ndarray) and name in _ARRAY_FIELDS:
+            value = _frozen(value, _ARRAY_FIELDS[name])
+        object.__setattr__(self, name, value)
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled / deep-copied arrays come back writable: refreeze them.
+        for name, value in state.items():
+            setattr(self, name, value)
 
     def __post_init__(self) -> None:
         self.edge_index = np.asarray(self.edge_index, dtype=np.int64)
@@ -76,8 +122,6 @@ class Graph:
             )
         if self.edge_index.size and self.edge_index.min() < 0:
             raise GraphError("edge_index contains negative node ids")
-        if isinstance(self.y, np.ndarray):
-            self.y = np.asarray(self.y, dtype=np.int64)
         for name in ("train_mask", "val_mask", "test_mask"):
             mask = getattr(self, name)
             if mask is not None:
@@ -119,6 +163,39 @@ class Graph:
         )
 
     # ------------------------------------------------------------------
+    # content fingerprint
+    # ------------------------------------------------------------------
+    def structure_digest(self) -> str:
+        """SHA-1 hex digest of ``(num_nodes, edge_index)``.
+
+        Computed on first request and memoized on the graph, validated by
+        the identity of ``edge_index``: the array is read-only, so the same
+        object always holds the same edges, and assigning a new array
+        recomputes the digest. Flows and contexts depend on nothing else.
+        """
+        memo = self.__dict__.get("_structure_memo")
+        if memo is not None and memo[0] is self.edge_index and memo[1] == self.num_nodes:
+            PERF.graph_fingerprint_hits += 1
+            return memo[2]
+        digest = _sha1(str(self.num_nodes).encode(), np.ascontiguousarray(self.edge_index))
+        self._structure_memo = (self.edge_index, self.num_nodes, digest)
+        return digest
+
+    def feature_digest(self) -> str:
+        """SHA-1 hex digest of the node features ``x`` (shape and values).
+
+        Memoized and validated like :meth:`structure_digest`, on the
+        identity of ``x``.
+        """
+        memo = self.__dict__.get("_feature_memo")
+        if memo is not None and memo[0] is self.x:
+            PERF.graph_fingerprint_hits += 1
+            return memo[1]
+        digest = _sha1(str(self.x.shape).encode(), np.ascontiguousarray(self.x))
+        self._feature_memo = (self.x, digest)
+        return digest
+
+    # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
     def edge_id_map(self) -> dict[tuple[int, int], int]:
@@ -145,6 +222,8 @@ class Graph:
 
         Node set, features and labels are unchanged — exactly the operation
         fidelity metrics use to build explanatory / unexplanatory subgraphs.
+        The read-only feature matrix is shared, not copied, and so is its
+        digest when the parent has one.
         """
         keep = np.asarray(keep)
         if keep.dtype != bool:
@@ -153,7 +232,7 @@ class Graph:
             keep = mask
         if keep.shape != (self.num_edges,):
             raise GraphError(f"edge keep mask must have shape ({self.num_edges},), got {keep.shape}")
-        return Graph(
+        child = Graph(
             edge_index=self.edge_index[:, keep],
             x=self.x,
             y=self.y,
@@ -164,9 +243,13 @@ class Graph:
             motif_edges=self.motif_edges,
             meta=dict(self.meta),
         )
+        memo = self.__dict__.get("_feature_memo")
+        if memo is not None and memo[0] is child.x:
+            child._feature_memo = memo
+        return child
 
     def copy(self) -> "Graph":
-        """Deep copy of all array payloads."""
+        """Deep copy of all array payloads (the copies are read-only too)."""
         return Graph(
             edge_index=self.edge_index.copy(),
             x=self.x.copy(),

@@ -69,7 +69,7 @@ def zero_features(graph: Graph, fraction: float,
     rng = ensure_rng(rng)
     out = graph.copy()
     mask = rng.random(graph.num_nodes) < fraction
-    out.x[mask] = 0.0
+    out.x = np.where(mask[:, None], 0.0, graph.x)
     return out
 
 

@@ -45,6 +45,13 @@ class PerfCounters:
     explanation_cache_hits:
         Whole ``explain_node`` results served from Revelio's memo (see
         :mod:`repro.core.revelio`).
+    graph_fingerprints:
+        Content digests computed over a graph's arrays
+        (:meth:`repro.graph.Graph.structure_digest` /
+        :meth:`~repro.graph.Graph.feature_digest`). Each graph hashes each
+        array once; a memoized digest does not count.
+    graph_fingerprint_hits:
+        Digest requests served from the graph's memo without hashing.
     stage_seconds:
         Accumulated wall-clock per named stage (see :meth:`stage`).
     """
@@ -57,6 +64,8 @@ class PerfCounters:
         "flow_cache_hits",
         "context_cache_hits",
         "explanation_cache_hits",
+        "graph_fingerprints",
+        "graph_fingerprint_hits",
         "stage_seconds",
     )
 
@@ -72,6 +81,8 @@ class PerfCounters:
         self.flow_cache_hits = 0
         self.context_cache_hits = 0
         self.explanation_cache_hits = 0
+        self.graph_fingerprints = 0
+        self.graph_fingerprint_hits = 0
         self.stage_seconds: dict[str, float] = {}
 
     def snapshot(self) -> dict:
@@ -84,6 +95,8 @@ class PerfCounters:
             "flow_cache_hits": self.flow_cache_hits,
             "context_cache_hits": self.context_cache_hits,
             "explanation_cache_hits": self.explanation_cache_hits,
+            "graph_fingerprints": self.graph_fingerprints,
+            "graph_fingerprint_hits": self.graph_fingerprint_hits,
             "stage_seconds": dict(self.stage_seconds),
         }
 

@@ -45,19 +45,19 @@ def git_revision() -> str | None:
 def dataset_fingerprint(dataset) -> str:
     """Stable content hash of a :mod:`repro.datasets` dataset.
 
-    Node datasets hash their single graph; graph datasets hash the
-    per-graph fingerprints in order, so any change to structure, features
-    or graph count changes the fingerprint.
+    Built from each graph's structure and feature digests (see
+    :meth:`repro.graph.Graph.structure_digest`), in order, so any change
+    to structure, features or graph count changes the fingerprint, and an
+    identical rebuild keeps it.
     """
     import hashlib
 
-    from ..flows import graph_fingerprint
-
-    if getattr(dataset, "task", None) == "node" or hasattr(dataset, "graph"):
-        return graph_fingerprint(dataset.graph)
+    graphs = [dataset.graph] if getattr(dataset, "task", None) == "node" \
+        or hasattr(dataset, "graph") else dataset.graphs
     digest = hashlib.sha1()
-    for graph in dataset.graphs:
-        digest.update(graph_fingerprint(graph).encode())
+    for graph in graphs:
+        digest.update(graph.structure_digest().encode())
+        digest.update(graph.feature_digest().encode())
     return digest.hexdigest()
 
 

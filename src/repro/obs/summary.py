@@ -7,7 +7,7 @@ same breakdown mechanically from any exported trace, and
 
 :func:`cache_summary` is the other half of introspection: one snapshot
 of every process-global cache (flow, explanation, context, sparse
-memos), rendered by ``repro stats`` and served by the daemon's
+memos, per-graph fingerprint memos), rendered by ``repro stats`` and served by the daemon's
 ``/caches`` and ``/metrics`` endpoints.
 """
 
@@ -18,6 +18,7 @@ import json
 from pathlib import Path
 
 from ..errors import EvaluationError
+from .counters import PERF
 
 __all__ = ["load_trace", "summarize_spans", "format_summary", "summarize_trace",
            "cache_summary", "format_cache_summary"]
@@ -110,8 +111,10 @@ def cache_summary() -> dict:
 
     Returns ``{cache_name: {"entries", "hits", "misses", ...}}`` covering
     the flow cache, Revelio's whole-explanation memo, the L-hop context
-    cache and the sparse-structure memos. Imports lazily so reading stats
-    never forces the numeric stack into processes that have not used it.
+    cache, the sparse-structure memos and the graphs' fingerprint memos
+    (``graph_fingerprint``: misses are digests computed, hits are digests
+    served without hashing). Imports lazily so reading stats never forces
+    the numeric stack into processes that have not used it.
     """
     flows = importlib.import_module("repro.flows.cache")
     revelio = importlib.import_module("repro.core.revelio")
@@ -124,6 +127,8 @@ def cache_summary() -> dict:
     }
     for name, info in sparse.memo_info().items():
         summary[f"sparse_{name}"] = info
+    summary["graph_fingerprint"] = {"hits": PERF.graph_fingerprint_hits,
+                                    "misses": PERF.graph_fingerprints}
     return summary
 
 

@@ -16,6 +16,9 @@ The package has four small parts:
   sites (the autograd primitives) the same build-once-reuse-forever
   plans, and :func:`feature_csr` giving sparse bag-of-words feature
   matrices a CSR twin for the first-layer weight GEMM.
+- :mod:`repro.sparse.heap` — :func:`tune_heap`, run on import, which
+  fixes glibc's heap thresholds so the kernels' mid-size temporaries are
+  reused instead of faulted in afresh on every call.
 """
 
 from .cache import (
@@ -34,8 +37,11 @@ from .kernels import (
     set_backend,
     use_backend,
 )
+from .heap import tune_heap
 from .numba_backend import NUMBA_AVAILABLE
 from .structure import SegmentPlan, augmented_edges, num_layer_edges
+
+tune_heap()
 
 __all__ = [
     "SegmentPlan",

@@ -1,10 +1,11 @@
 """Per-graph sparse-structure caches and identity-keyed plan memos.
 
-A :class:`~repro.graph.data.Graph`'s connectivity is immutable in practice
-— every mutation path (``with_edges``, ``copy``, dataset regeneration)
-builds a *new* ``edge_index`` array — so the compiled scatter structure can
-be attached to the graph object itself and validated by array identity, a
-pointer comparison instead of a hash of ``O(E)`` bytes per forward.
+A :class:`~repro.graph.data.Graph`'s arrays are read-only — an in-place
+write raises, so new connectivity always arrives as a *new* ``edge_index``
+array (``with_edges``, ``copy``, assigning the field) — and the compiled
+scatter structure can be attached to the graph object itself and
+validated by array identity, a pointer comparison instead of a hash of
+``O(E)`` bytes per forward.
 
 Three entry points, from most to least context:
 
@@ -168,10 +169,10 @@ _MEMO_STATS: dict[str, list] = {
 def sparse_cache(graph) -> GraphSparseCache:
     """The graph's compiled sparse structure, built on first use.
 
-    Validity is an identity check on ``graph.edge_index``: all connectivity
-    mutations in this library replace the array (``with_edges``, ``copy``
-    create fresh ``Graph`` objects; ``validate()`` keeps the same int64
-    array), so ``is`` is both sound and O(1).
+    Validity is an identity check on ``graph.edge_index``: the array is
+    read-only, so any change of connectivity replaces it (``with_edges``
+    and ``copy`` create fresh ``Graph`` objects; ``validate()`` keeps the
+    same int64 array), and ``is`` is both sound and O(1).
     """
     cached = getattr(graph, "_sparse_cache", None)
     if cached is not None and cached.edge_index is graph.edge_index \

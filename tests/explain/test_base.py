@@ -80,6 +80,16 @@ class TestDispatch:
         with pytest.raises(ExplainerError):
             expl.explain(mini_ba_shapes.graph, target=0, mode="maybe")
 
+    @pytest.mark.parametrize("method", ["random", "revelio"])
+    def test_out_of_range_target_rejected(self, method, triangle_graph):
+        from repro.explain import ExplainTarget
+        from repro.nn import build_model
+
+        model = build_model("gcn", "node", 3, 2, hidden=4, rng=0)
+        expl = make_explainer(method, model)
+        with pytest.raises(ExplainerError, match=r"7 .*num_nodes=3"):
+            expl.explain(triangle_graph, ExplainTarget.node(7))
+
     def test_graph_model_ignores_target(self, graph_model, mini_mutag):
         expl = make_explainer("random", graph_model)
         e = expl.explain(mini_mutag.graphs[0], target=5)

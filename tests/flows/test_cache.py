@@ -32,6 +32,17 @@ def diamond_graph():
     return Graph(edge_index=edge_index, x=np.eye(4))
 
 
+def test_cached_index_is_read_only(diamond_graph):
+    index = cached_enumerate_flows(diamond_graph, 2, target=3)
+    index.aggregate_scores_np(np.ones(index.num_flows))
+    arrays = [index.nodes, index.layer_edges, index.used_layer_edges(),
+              *index._aggregation_indices()]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert cached_enumerate_flows(diamond_graph, 2, target=3) is index
+
+
 def test_cached_index_is_bit_identical(diamond_graph):
     fresh = enumerate_flows(diamond_graph, 2, target=3)
     first = cached_enumerate_flows(diamond_graph, 2, target=3)

@@ -126,15 +126,15 @@ class TestWithEdges:
 
 class TestCopy:
     def test_deep_copy_arrays(self):
-        g = make_graph(y=np.array([0, 1, 2]))
+        mask = np.array([True, False, True])
+        g = make_graph(y=np.array([0, 1, 2]), train_mask=mask,
+                       val_mask=~mask, test_mask=mask)
         c = g.copy()
-        c.x[0, 0] = 99.0
-        c.y[0] = 5
-        assert g.x[0, 0] == 1.0
-        assert g.y[0] == 0
+        for name in ("edge_index", "x", "y", "train_mask", "val_mask", "test_mask"):
+            assert not np.shares_memory(getattr(c, name), getattr(g, name)), name
 
     def test_copy_masks(self):
         g = make_graph(train_mask=np.array([True, False, True]))
         c = g.copy()
-        c.train_mask[0] = False
-        assert g.train_mask[0]
+        np.testing.assert_array_equal(c.train_mask, g.train_mask)
+        assert not c.train_mask.flags.writeable

@@ -9,7 +9,7 @@ from repro.obs import cache_summary, format_cache_summary
 
 EXPECTED_CACHES = {"flow_cache", "explanation_cache", "context_cache",
                    "sparse_graph", "sparse_edge", "sparse_plan",
-                   "sparse_feature"}
+                   "sparse_feature", "graph_fingerprint"}
 
 
 def test_summary_covers_every_cache():
@@ -45,6 +45,17 @@ def test_sparse_memo_counters_move():
     after = cache_summary()["sparse_graph"]
     assert after["misses"] == before["misses"] + 1
     assert after["hits"] >= before["hits"] + 1
+
+
+def test_graph_fingerprint_counters_move():
+    edge_index = np.array([[0, 1, 2], [1, 2, 0]])
+    graph = Graph(edge_index=edge_index, x=np.eye(3))
+    before = cache_summary()["graph_fingerprint"]
+    for _ in range(3):
+        graph.structure_digest()
+    after = cache_summary()["graph_fingerprint"]
+    assert after["misses"] == before["misses"] + 1
+    assert after["hits"] == before["hits"] + 2
 
 
 def test_format_cache_summary_renders_rows():

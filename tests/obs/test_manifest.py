@@ -1,8 +1,10 @@
 """RunManifest build/write/load and dataset fingerprinting."""
 
 import json
+from types import SimpleNamespace
 
 from repro.datasets import load_dataset
+from repro.graph import perturb_features, zero_features
 from repro.obs import (
     build_manifest,
     dataset_fingerprint,
@@ -93,3 +95,19 @@ class TestDatasetFingerprint:
         assert a == b
         c = dataset_fingerprint(load_dataset("ba_2motifs", scale=0.1, seed=1))
         assert a != c
+
+    def test_node_dataset_sensitive_to_features(self):
+        dataset = load_dataset("tree_cycles", scale=0.12, seed=0)
+        base = dataset_fingerprint(dataset)
+        for transform in (perturb_features, zero_features):
+            changed = transform(dataset.graph, 0.5, rng=0)
+            assert dataset_fingerprint(SimpleNamespace(task="node", graph=changed)) != base
+        rebuilt = SimpleNamespace(task="node", graph=dataset.graph.copy())
+        assert dataset_fingerprint(rebuilt) == base
+
+    def test_graph_dataset_sensitive_to_features(self):
+        dataset = load_dataset("ba_2motifs", scale=0.1, seed=0)
+        graphs = list(dataset.graphs)
+        base = dataset_fingerprint(SimpleNamespace(task="graph", graphs=graphs))
+        graphs[-1] = perturb_features(graphs[-1], 0.5, rng=0)
+        assert dataset_fingerprint(SimpleNamespace(task="graph", graphs=graphs)) != base

@@ -217,6 +217,38 @@ class TestBackpressureAndTimeouts:
         assert status == 400
         assert "out of range" in payload["error"]["message"]
 
+    def test_library_target_error_maps_to_400(self, explain_body):
+        """An out-of-range node reaching the explainer is a client error."""
+        import numpy as np
+
+        from repro.graph import Graph
+        from repro.nn import build_model
+
+        graph = Graph(edge_index=np.array([[0, 1], [1, 2]]), x=np.eye(3))
+        explainer = make_explainer("random", build_model("gcn", "node", 3, 2, hidden=4, rng=0))
+
+        def tiny_graph_runner(requests):
+            results = []
+            for request in requests:
+                try:
+                    results.append(explainer.explain(graph, request.target))
+                except Exception as exc:  # per-request failure, like ExplainRuntime
+                    results.append(exc)
+            return results
+
+        async def main():
+            app = await started_app(batch_runner=tiny_graph_runner, max_linger_ms=0.0)
+            status, payload, _ = await http_request(
+                app.port, "/explain", "POST",
+                body={**explain_body, "target": {"node": 7}})
+            await app.shutdown()
+            return status, payload
+
+        status, payload = run(main())
+        assert status == 400
+        assert payload["error"]["type"] == "ExplainerError"
+        assert "num_nodes=3" in payload["error"]["message"]
+
 
 class TestServingParity:
     """Coalesced responses must be byte-identical to the serial path."""
