@@ -37,6 +37,7 @@ import argparse
 import sys
 
 from .datasets import DATASET_NAMES, dataset_task, load_dataset
+from .errors import ReproError
 from .eval.experiments import (
     ALL_METHODS,
     COUNTERFACTUAL_METHODS,
@@ -189,9 +190,21 @@ def _common(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    """CLI entry point; returns a process exit code.
 
+    A library error (any :class:`~repro.errors.ReproError`) prints one
+    line, ``repro: error: <message>``, to stderr and exits 2 — the code
+    argparse uses for a bad command line.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "datasets":
         for name in DATASET_NAMES:
             ds = load_dataset(name)
@@ -324,17 +337,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "bench":
-        from .errors import BenchError
         from .eval.benchgate import load_latest_run, run_bench_check
 
         if args.check:
             return run_bench_check(history_path=args.history,
                                    reference_path=args.reference)
-        try:
-            record = load_latest_run(args.history)
-        except BenchError as exc:
-            print(f"bench: {exc}", file=sys.stderr)
-            return 2
+        record = load_latest_run(args.history)
         print(f"latest run: {record.get('timestamp', '?')} "
               f"({record.get('git_sha') or '?'})")
         for name, entry in sorted(record["payload"].get("workloads", {}).items()):

@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from ..errors import GraphError
-from ..sparse import sparse_cache
+from ..sparse import seed_feature_csr, sparse_cache
 from .data import Graph
 
 __all__ = ["SampledSubgraph", "khop_in_nodes", "extract_receptive_field"]
@@ -104,6 +104,16 @@ class SampledSubgraph:
         self._edge_positions: np.ndarray | None = None
         self._local_of: np.ndarray | None = None
 
+    @classmethod
+    def induced(cls, source: Graph, node_ids: np.ndarray, targets=(),
+                num_hops: int = 0) -> "SampledSubgraph":
+        """The subgraph induced by sorted, unique, in-range ``node_ids``:
+        every edge of ``source`` whose endpoints are both kept."""
+        in_set = np.zeros(source.num_nodes, dtype=bool)
+        in_set[node_ids] = True
+        return cls(source, node_ids, in_set[source.src] & in_set[source.dst],
+                   targets=targets, num_hops=num_hops)
+
     # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
@@ -129,26 +139,51 @@ class SampledSubgraph:
         """The relabeled induced subgraph (built on first access).
 
         Local edge order follows global edge order, so ``graph.edge_index``
-        column ``j`` is global edge ``edge_positions[j]``.
+        column ``j`` is global edge ``edge_positions[j]``. Built straight
+        from ``node_ids`` and ``edge_mask``; the features' CSR twin is
+        seeded by row-slicing the source graph's
+        (:func:`~repro.sparse.seed_feature_csr`) instead of rescanning
+        the sliced dense matrix.
         """
         if self._graph is None:
-            # Local import: graph.utils re-exports from this module.
-            from .utils import induced_subgraph
-            sub, node_ids, edge_mask = induced_subgraph(self._source, self.node_ids)
-            # The extraction already fixed the node set; the induced edge
-            # set over it must agree with the recorded mask.
-            assert np.array_equal(node_ids, self.node_ids)
-            assert np.array_equal(edge_mask, self.edge_mask)
+            source, node_ids = self._source, self.node_ids
+            local = self._local_map()
+            motif = None
+            if source.motif_edges is not None:
+                pairs = local[np.array(list(source.motif_edges),
+                                       dtype=np.int64).reshape(-1, 2)]
+                motif = frozenset(map(tuple, pairs[(pairs >= 0).all(axis=1)].tolist()))
+            y = source.y[node_ids] if isinstance(source.y, np.ndarray) else source.y
+
+            def rows(mask):
+                return None if mask is None else mask[node_ids]
+
+            sub = Graph(
+                edge_index=local[source.edge_index[:, self.edge_mask]],
+                x=source.x[node_ids],
+                y=y,
+                num_nodes=node_ids.size,
+                train_mask=rows(source.train_mask),
+                val_mask=rows(source.val_mask),
+                test_mask=rows(source.test_mask),
+                motif_edges=motif,
+                meta=dict(source.meta),
+            )
+            seed_feature_csr(sub.x, source.x, node_ids)
             self._graph = sub
         return self._graph
 
-    def local_index(self, global_ids) -> np.ndarray:
-        """Local node id(s) for global node id(s); raises if absent."""
+    def _local_map(self) -> np.ndarray:
+        """``(N_source,)`` local id of each global node, ``-1`` if absent."""
         if self._local_of is None:
             local = -np.ones(self._source.num_nodes, dtype=np.int64)
             local[self.node_ids] = np.arange(self.node_ids.size)
             self._local_of = local
-        out = self._local_of[np.asarray(global_ids, dtype=np.int64)]
+        return self._local_of
+
+    def local_index(self, global_ids) -> np.ndarray:
+        """Local node id(s) for global node id(s); raises if absent."""
+        out = self._local_map()[np.asarray(global_ids, dtype=np.int64)]
         if np.any(out < 0):
             missing = np.asarray(global_ids)[np.asarray(out < 0)]
             raise GraphError(
@@ -217,10 +252,5 @@ def extract_receptive_field(graph: Graph, targets, num_hops: int) -> SampledSubg
     target's local prediction — message passing at a node only reads its
     in-edges, which are all present for any node that can reach a target.
     """
-    node_ids = khop_in_nodes(graph, targets, num_hops)
-    in_set = np.zeros(graph.num_nodes, dtype=bool)
-    in_set[node_ids] = True
-    edge_mask = in_set[graph.src] & in_set[graph.dst]
-    return SampledSubgraph(graph, node_ids, edge_mask,
-                           targets=np.atleast_1d(np.asarray(targets, dtype=np.int64)),
-                           num_hops=num_hops)
+    return SampledSubgraph.induced(graph, khop_in_nodes(graph, targets, num_hops),
+                                   targets=targets, num_hops=num_hops)

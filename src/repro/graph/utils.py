@@ -86,34 +86,11 @@ def induced_subgraph(graph: Graph, nodes: np.ndarray) -> tuple[Graph, np.ndarray
     edges kept. Labels and masks are sliced accordingly; ``motif_edges`` are
     relabelled when present.
     """
-    node_ids = np.asarray(sorted(set(int(n) for n in np.asarray(nodes).reshape(-1))), dtype=np.int64)
-    if node_ids.size and (node_ids.min() < 0 or node_ids.max() >= graph.num_nodes):
+    node_ids = np.unique(np.asarray(nodes, dtype=np.int64).reshape(-1))
+    if node_ids.size and (node_ids[0] < 0 or node_ids[-1] >= graph.num_nodes):
         raise GraphError("induced_subgraph received out-of-range node ids")
-    remap = -np.ones(graph.num_nodes, dtype=np.int64)
-    remap[node_ids] = np.arange(node_ids.size)
-    edge_mask = (remap[graph.src] >= 0) & (remap[graph.dst] >= 0)
-    new_edges = np.stack([remap[graph.src[edge_mask]], remap[graph.dst[edge_mask]]])
-
-    motif = None
-    if graph.motif_edges is not None:
-        motif = frozenset(
-            (int(remap[u]), int(remap[v]))
-            for u, v in graph.motif_edges
-            if remap[u] >= 0 and remap[v] >= 0
-        )
-    y = graph.y[node_ids] if isinstance(graph.y, np.ndarray) else graph.y
-    sub = Graph(
-        edge_index=new_edges,
-        x=graph.x[node_ids],
-        y=y,
-        num_nodes=node_ids.size,
-        train_mask=None if graph.train_mask is None else graph.train_mask[node_ids],
-        val_mask=None if graph.val_mask is None else graph.val_mask[node_ids],
-        test_mask=None if graph.test_mask is None else graph.test_mask[node_ids],
-        motif_edges=motif,
-        meta=dict(graph.meta),
-    )
-    return sub, node_ids, edge_mask
+    field = SampledSubgraph.induced(graph, node_ids)
+    return field.graph, node_ids, field.edge_mask
 
 
 def connected_components(graph: Graph) -> np.ndarray:

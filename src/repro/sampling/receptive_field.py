@@ -1,18 +1,24 @@
 """Batched receptive-field extraction with exact-forward guarantees.
 
 :class:`ReceptiveField` wraps :func:`~repro.graph.sampled.extract_receptive_field`
-with the one correction that makes a *forward pass on the sampled
+with the one correction that makes an *unmasked forward on the sampled
 subgraph* agree with the full graph at every target row: GCN's symmetric
 renormalization reads node degrees, and nodes on the boundary of the
 extracted cone (distance exactly L from every target) have lost in-edges.
-Their degrees do not matter for the targets' predictions — a boundary
-node's *output* never reaches a target within L layers, only its layer-0
-features do — but presetting the sampled graph's
+A boundary node's *output* never reaches a target within L layers, but
+its degree does: ``D̂^{-1/2}`` of the source scales every message it
+sends into the cone. Presetting the sampled graph's
 :class:`~repro.sparse.cache.GraphSparseCache` with the full graph's
 ``deg_inv_sqrt`` sliced to the kept nodes makes every kept row's
 coefficients identical to the dense path, so the parity claim needs no
 per-architecture reasoning: any conv that reads the cache's degree
 vectors sees exactly the numbers the full graph would produce.
+
+The preload covers unmasked forwards only. A structural (edge-removal)
+forward recomputes degrees from the surviving edges, so the boundary
+nodes' missing in-edges show again; such forwards need an (L+1)-hop
+field, in which every node within L hops keeps all of its in-edges
+(:func:`repro.eval.fidelity.fidelity_curve` sweeps on one).
 """
 
 from __future__ import annotations

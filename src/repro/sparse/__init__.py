@@ -15,7 +15,8 @@ The package has four small parts:
   memos :func:`edge_cache` / :func:`plan_for` that give bare-array call
   sites (the autograd primitives) the same build-once-reuse-forever
   plans, and :func:`feature_csr` giving sparse bag-of-words feature
-  matrices a CSR twin for the first-layer weight GEMM.
+  matrices a CSR twin for the first-layer weight GEMM (seeded for a
+  row slice from its parent's twin by :func:`seed_feature_csr`).
 - :mod:`repro.sparse.heap` — :func:`tune_heap`, run on import, which
   fixes glibc's heap thresholds so the kernels' mid-size temporaries are
   reused instead of faulted in afresh on every call.
@@ -26,6 +27,7 @@ from .cache import (
     edge_cache,
     feature_csr,
     plan_for,
+    seed_feature_csr,
     sparse_cache,
 )
 from .kernels import (
@@ -50,6 +52,7 @@ __all__ = [
     "edge_cache",
     "plan_for",
     "feature_csr",
+    "seed_feature_csr",
     "augmented_edges",
     "num_layer_edges",
     "OPS",

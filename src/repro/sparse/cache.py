@@ -46,7 +46,7 @@ import scipy.sparse as sp
 from .structure import SegmentPlan, augmented_edges
 
 __all__ = ["GraphSparseCache", "sparse_cache", "edge_cache", "plan_for",
-           "feature_csr"]
+           "feature_csr", "seed_feature_csr"]
 
 #: Densest feature matrix worth a CSR twin: above this, BLAS on the dense
 #: array beats sparse matvecs and :func:`feature_csr` memoizes ``None``.
@@ -291,3 +291,49 @@ def feature_csr(x: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
             hit = ()
         _memo_put(_FEATURE_MEMO, key, x, hit)
     return hit or None
+
+
+def seed_feature_csr(x: np.ndarray, parent: np.ndarray, rows: np.ndarray, *,
+                     inherit: bool = False) -> None:
+    """Memoize the twin of ``x == parent[rows]`` by row-slicing ``parent``'s.
+
+    A receptive-field graph's features are a row slice of its source
+    graph's. Slicing the source's CSR twin costs O(nnz of those rows),
+    where :func:`feature_csr` on ``x`` would rescan every dense entry of
+    the slice. By default the density decision is still ``x``'s own —
+    the slice's nonzeros over its size against
+    :data:`FEATURE_DENSITY_CEILING` — so the memo ends up holding exactly
+    what ``feature_csr(x)`` would build (same ``indptr``, ``indices`` and
+    ``data``, or ``None``), and a no-op when ``x`` is already memoized.
+
+    ``inherit=True`` instead gives ``x`` a twin exactly when ``parent``
+    has one, replacing a memoized entry that decided otherwise: a forward
+    over the slice then computes every row's first-layer product the way
+    the forward over ``parent`` does, which a caller comparing the two
+    row by row needs.
+    Without ``inherit``, a parent with no twin leaves ``x`` to be
+    inspected on first use as usual.
+    """
+    twin = feature_csr(parent)
+    if not isinstance(x, np.ndarray) or x.shape != (len(rows), parent.shape[1]):
+        return
+    key = (id(x), x.shape[0])
+    hit = _FEATURE_MEMO.get(key)
+    memoized = hit[1] if hit is not None and hit[0]() is x else None
+    rows = np.asarray(rows, dtype=np.int64)
+    if inherit:
+        sparse = twin is not None
+        if memoized is not None and bool(memoized) == sparse:
+            return
+    else:
+        if twin is None or memoized is not None:
+            return
+        indptr = twin[0].indptr
+        nnz = int((indptr[rows + 1] - indptr[rows]).sum())
+        sparse = nnz / max(x.size, 1) <= FEATURE_DENSITY_CEILING
+    if sparse:
+        matrix = twin[0][rows]
+        value = (matrix, sp.csr_matrix(matrix.T))
+    else:
+        value = ()
+    _memo_put(_FEATURE_MEMO, key, x, value)

@@ -65,6 +65,18 @@ class TestCommands:
         assert "explanatory edges" in out
         assert "Message Flow" in out  # flow table printed for flow methods
 
+    @pytest.mark.parametrize("extra", [[], ["--sampled"]])
+    def test_library_error_is_one_line(self, capsys, extra):
+        code = main(["explain", "-d", "ba_shapes", "--scale", "0.2", "-e", "flowx",
+                     "-t", "999", *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ") and "999" in lines[0]
+        assert "Traceback" not in captured.err
+
     def test_explain_edge_method_no_flow_table(self, capsys):
         code = main(["explain", "-d", "tree_cycles", "-m", "gcn", "--scale", "0.12",
                      "-e", "gradcam"])
